@@ -3,12 +3,15 @@
 Not a paper table: this benchmark gates the supervised execution layer
 (:mod:`repro.campaign.supervisor`) added on top of the campaign runner.
 
-* ``test_supervised_healthy_overhead`` — the same CPU-bound batch run on
-  a bare ``CampaignPool`` (plain ``multiprocessing.Pool`` dispatch) and
-  on the same pool under a ``SupervisorPolicy``.  Supervision buys chunk
-  deadlines, retry, respawn and quarantine; on a healthy batch it must
-  cost close to nothing — the recorded ``overhead`` ratio is the number
-  the committed baseline tracks.
+* ``test_supervised_healthy_overhead`` — the same CPU-bound batch run
+  through the runner's one dispatch path twice: on a two-worker
+  supervised ``CampaignPool`` and in-process (a one-worker pool, the
+  serial fallback under the same policy).  Every batch is supervised,
+  so this is what a healthy batch pays for its worker processes —
+  pipes, pickling, the supervise loop — against what they buy; the
+  recorded ``overhead`` ratio (pooled / in-process seconds) is the
+  number the committed baseline tracks: below 1 wherever the machine
+  lends the benchmark two cores.
 * ``test_supervised_crash_recovery`` — the same batch with one worker
   crash injected (``os._exit`` mid-chunk): the batch must still
   complete, quarantining exactly the poison item, and the recorded
@@ -22,6 +25,7 @@ import time
 from benchmarks.conftest import run_once
 from repro.campaign import CampaignPool, SupervisorPolicy
 from repro.campaign.faults import FaultSpec, busy_chunk
+from repro.campaign.runner import survivors
 
 JOBS = list(range(64))
 SPINS = 20_000
@@ -29,13 +33,12 @@ CHUNK_SIZE = 4
 
 
 def _healthy_overhead_stats():
-    with CampaignPool(2) as bare:
-        bare.run(busy_chunk, JOBS, payload=SPINS, chunk_size=CHUNK_SIZE)  # warm-up
-        start = time.perf_counter()
-        plain = bare.run(busy_chunk, JOBS, payload=SPINS, chunk_size=CHUNK_SIZE)
-        bare_seconds = time.perf_counter() - start
-
     policy = SupervisorPolicy()
+    with CampaignPool(1, policy=policy) as in_process:
+        start = time.perf_counter()
+        serial = in_process.run(busy_chunk, JOBS, payload=SPINS, chunk_size=CHUNK_SIZE)
+        serial_seconds = time.perf_counter() - start
+
     with CampaignPool(2, policy=policy) as supervised_pool:
         supervised_pool.run(busy_chunk, JOBS, payload=SPINS, chunk_size=CHUNK_SIZE)
         start = time.perf_counter()
@@ -47,10 +50,10 @@ def _healthy_overhead_stats():
 
     return {
         "jobs": len(JOBS),
-        "bare_seconds": bare_seconds,
+        "serial_seconds": serial_seconds,
         "supervised_seconds": supervised_seconds,
-        "overhead": supervised_seconds / bare_seconds,
-        "results_equal": plain == supervised,
+        "overhead": supervised_seconds / serial_seconds,
+        "results_equal": serial == supervised,
         "quiet_counters": not any(
             counters[name]
             for name in ("retries", "timeouts", "worker_deaths", "quarantined")
@@ -64,7 +67,7 @@ def test_supervised_healthy_overhead(benchmark):
         {k: (round(v, 4) if isinstance(v, float) else v) for k, v in stats.items()}
     )
 
-    # Supervision must not change healthy results, and a healthy batch
+    # Sharding must not change healthy results, and a healthy batch
     # must not trip any supervision machinery.
     assert stats["results_equal"]
     assert stats["quiet_counters"]
@@ -85,7 +88,7 @@ def _crash_recovery_stats():
         healthy_seconds = time.perf_counter() - start
 
         start = time.perf_counter()
-        survivors = pool.run(
+        slots = pool.run(
             _crashing_chunk,
             JOBS,
             payload=SPINS,
@@ -99,7 +102,7 @@ def _crash_recovery_stats():
         "healthy_seconds": healthy_seconds,
         "recovery_seconds": recovery_seconds,
         "complete": len(results) == len(JOBS),
-        "survivors": len(survivors),
+        "survivors": len(survivors(slots)),
         "quarantined": [failure.item for failure in errors],
         "worker_deaths": counters["worker_deaths"],
         "respawns": counters["respawns"],

@@ -7,10 +7,13 @@ The campaign drivers — :func:`repro.fences.campaign.repair_family`,
 :func:`repro.verification.bmc.verify_batch` — all fan homogeneous
 batches of independent simulate/verdict jobs over this one runtime:
 
-* :mod:`repro.campaign.runner` — chunked, order-preserving work sharding
-  over a process pool, with a serial fallback whose results are
-  byte-identical by construction;
-* :mod:`repro.campaign.supervisor` — the fault-tolerant execution layer:
+* :mod:`repro.campaign.runner` — chunked work sharding with one
+  supervised dispatch path and one result slot per submitted job (its
+  value, or the :class:`~repro.campaign.supervisor.FailedItem` that
+  quarantined it), in submission order; the in-process fallback runs the
+  same chunks under the same policy, so its results are byte-identical;
+* :mod:`repro.campaign.supervisor` — the fault-tolerant execution layer
+  every batch runs through:
   per-chunk deadlines, bounded retry with exponential backoff, worker
   death detection with automatic respawn (self-healing pools), and
   poison-item bisection with structured quarantine

@@ -161,10 +161,17 @@ class BmcJob:
 # -- chunk workers --------------------------------------------------------------
 
 
-def verdict_chunk(chunk: List[VerdictJob], payload: Any = None) -> List[Tuple[str, str]]:
-    """Worker: ``(test name, verdict)`` for each job of the chunk."""
+def verdict_chunk(
+    chunk: List[VerdictJob], payload: Optional[ContextCache] = None
+) -> List[Tuple[str, str]]:
+    """Worker: ``(test name, verdict)`` for each job of the chunk.
+
+    ``payload`` is the context cache to consult — an in-process caller
+    passes its own (a session's); ``None``, as on worker processes,
+    means this process's cache.
+    """
     results = []
-    cache = process_context_cache()
+    cache = process_context_cache() if payload is None else payload
     for job in chunk:
         _faults.trip(job.test.name)
         simulator = process_simulator(job.model_name, job.engine)
@@ -174,15 +181,16 @@ def verdict_chunk(chunk: List[VerdictJob], payload: Any = None) -> List[Tuple[st
 
 
 def verdict_pair_chunk(
-    chunk: List[VerdictPairJob], payload: Any = None
+    chunk: List[VerdictPairJob], payload: Optional[ContextCache] = None
 ) -> List[Tuple[str, Tuple[str, ...]]]:
     """Worker: ``(test name, verdict per model)`` for each job.
 
     One context lookup per job, shared by every model's verdict — the
     paired-sweep economy the comparison driver is built on.
+    ``payload`` is the context cache, as for :func:`verdict_chunk`.
     """
     results = []
-    cache = process_context_cache()
+    cache = process_context_cache() if payload is None else payload
     for job in chunk:
         _faults.trip(job.test.name)
         context = cache.get(job.test)
@@ -207,21 +215,27 @@ def simulate_chunk(chunk: List[SimulateJob], payload: Any = None):
     return results
 
 
-def repair_chunk(chunk: List[LitmusTest], payload: Tuple[str, dict, str]):
+def repair_chunk(
+    chunk: List[LitmusTest],
+    payload: Tuple[str, dict, str, Optional[ContextCache]],
+):
     """Worker: repair a chunk of tests with a process-local memo cache.
 
     ``payload`` is ``(model name, cycle-cache snapshot, placement
-    strategy)``; the worker repairs against a local copy of the snapshot
-    and returns it with the reports so the parent can merge what this
-    chunk learned.  ILP chunks behave exactly like greedy ones — the
-    strategy only changes which planner each repair runs.
+    strategy, context cache)`` — build it with
+    :func:`repro.fences.campaign.repair_dispatch`; the worker repairs
+    against a local copy of the snapshot and returns it with the reports
+    so the parent can merge what this chunk learned.  The context cache
+    is ``None`` on worker processes (this process's cache is used).  ILP
+    chunks behave exactly like greedy ones — the strategy only changes
+    which planner each repair runs.
     """
     from repro.fences.campaign import repair_one
 
-    model_name, cache_snapshot, strategy = payload
+    model_name, cache_snapshot, strategy, context_cache = payload
     local = dict(cache_snapshot)
     simulator_model = process_simulator(model_name).model
-    cache = process_context_cache()
+    cache = process_context_cache() if context_cache is None else context_cache
     reports = []
     for test in chunk:
         _faults.trip(test.name)

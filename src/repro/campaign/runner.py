@@ -1,9 +1,12 @@
 """Process-sharded execution of homogeneous campaign jobs.
 
 Every campaign driver (fence repair, hardware testing, mole censuses,
-diy family sweeps, BMC batches) boils down to the same shape: a list of
-independent jobs, each producing one result, whose order must be
-preserved.  This module is the one fan-out layer they all share:
+diy family sweeps, BMC batches, model comparison) and the verdict
+service boil down to the same shape: a list of independent jobs, each
+producing one result, whose order must be preserved.  This module is
+the one fan-out layer they all share, and it has **one dispatch path**:
+every batch runs under a :class:`~repro.campaign.supervisor.SupervisorPolicy`
+(the caller's, else the pool's, else ``on_error="raise"``).
 
 * jobs are grouped into **chunks** so that scheduling and pickling
   overhead amortizes over several jobs and per-worker warm state
@@ -14,30 +17,31 @@ preserved.  This module is the one fan-out layer they all share:
   shared by every chunk — and returning one result per job (or
   ``(results, extra)`` when a ``merge`` callback collects per-chunk
   side state, e.g. the fence campaign's cycle-signature memo);
-* results come back in submission order, so sharded campaigns report
-  exactly what the serial path reports;
-* the **serial fallback** (``processes`` of ``None``/``0``/``1``, a
-  single-core machine under ``"auto"``, or a single job) runs the very
-  same worker over the very same chunks in-process, so its results are
-  byte-identical to the sharded path by construction;
-* an optional :class:`~repro.campaign.supervisor.SupervisorPolicy`
-  routes the batch through the **supervised** execution layer
-  (:mod:`repro.campaign.supervisor`): per-chunk deadlines, bounded
-  retry with backoff, worker-death detection with automatic respawn,
-  and poison-item bisection with quarantine — the batch then completes
-  with ``errors=`` populated instead of wedging or raising.
+* chunks run on supervised worker processes
+  (:mod:`repro.campaign.supervisor`: per-chunk deadlines, bounded retry
+  with backoff, worker-death detection with respawn, poison-item
+  bisection) or, when there is nothing to parallelize (``processes`` of
+  ``None``/``0``/``1``, a single-core machine under ``"auto"``, or a
+  single chunk without a warm pool), in-process under the same policy —
+  the very same worker over the very same chunks, so serial results are
+  byte-identical to sharded ones by construction;
+* the result has **one slot per submitted job, in submission order**: a
+  job's value, or the :class:`~repro.campaign.supervisor.FailedItem`
+  that quarantined it (``FailedItem.index`` is the slot's position).
+  Consumers pair slots with their jobs by position — never by name, so
+  duplicate test names cannot swap results.
 
-``CampaignPool`` keeps one pool alive across several batches: worker
-processes then retain their warm state (per-process simulators and
-context caches) between calls, which is what escalation-style loops
-want.  Pools shut down gracefully — ``close()``/``__exit__`` ask the
-workers to drain and only ``terminate()`` after a grace period — so
-worker caches flush and in-flight telemetry snapshots are not lost.
+``CampaignPool`` keeps one supervised process group alive across
+several batches: workers then retain their warm state (per-process
+simulators and context caches) between calls, which is what escalation
+loops and the verdict service want.  Pools shut down gracefully —
+``close()``/``__exit__`` ask the workers to drain and only
+``terminate()`` after a grace period — so worker caches flush and
+in-flight telemetry snapshots are not lost.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import threading
 import time
@@ -51,9 +55,7 @@ from repro.campaign.supervisor import (
     SupervisedPool,
     SupervisorPolicy,
     guarded_call,
-    is_pickling_error,
     item_label,
-    warn_unpicklable,
 )
 from repro.telemetry.metrics import Metrics
 
@@ -129,37 +131,50 @@ def _serial_supervised(
     make_args: Callable[[List[Any]], Tuple[Any, ...]],
     chunks: Sequence[List[Any]],
     counters: Dict[str, float],
-    policy: Optional[SupervisorPolicy] = None,
+    policy: SupervisorPolicy,
+    abort: Optional[threading.Event] = None,
 ):
     """The supervised semantics without processes: capture and bisect.
 
     Exceptions are caught at the chunk boundary and bisected down to
     the poison item exactly as the pooled supervisor does, so a policy
-    behaves the same when the pool degrades to the serial fallback.
+    behaves the same in-process as on worker processes.
     Crashes and hangs cannot be contained in-process — those need real
-    worker processes.  A batch ``policy.deadline`` is honoured at slice
-    boundaries: a running chunk cannot be interrupted in-process, but
+    worker processes.  A running chunk cannot be interrupted in-process
+    either, so the batch ``policy.deadline`` and the *abort* event (set
+    by :meth:`CampaignPool.abort`) are honoured at slice boundaries:
     once the deadline passes every remaining slice fails fast as a
-    ``timeout`` instead of being executed.
+    ``timeout``, once the event is set as ``aborted``, instead of being
+    executed.
     """
     successes: List[Tuple[int, int, Any]] = []
     failures: List[_supervisor._Failure] = []
 
-    def run_slice(chunk_index: int, offset: int, items: List[Any]) -> None:
-        if policy is not None and policy.expired():
-            _supervisor._bump(counters, "deadline_exhausted", len(items))
-            for position, item in enumerate(items):
-                failures.append(
-                    _supervisor._Failure(
-                        chunk_index=chunk_index,
-                        offset=offset + position,
-                        item=item,
-                        kind="timeout",
-                        error="batch deadline exhausted before dispatch",
-                        traceback="",
-                        attempts=1,
-                    )
+    def fail_fast(chunk_index: int, offset: int, items: List[Any], kind: str) -> None:
+        if kind == "aborted":
+            counter, error = "aborted", "batch aborted by pool shutdown"
+        else:
+            counter, error = "deadline_exhausted", "batch deadline exhausted before dispatch"
+        _supervisor._bump(counters, counter, len(items))
+        for position, item in enumerate(items):
+            failures.append(
+                _supervisor._Failure(
+                    chunk_index=chunk_index,
+                    offset=offset + position,
+                    item=item,
+                    kind=kind,
+                    error=error,
+                    traceback="",
+                    attempts=1,
                 )
+            )
+
+    def run_slice(chunk_index: int, offset: int, items: List[Any]) -> None:
+        if abort is not None and abort.is_set():
+            fail_fast(chunk_index, offset, items, "aborted")
+            return
+        if policy.expired():
+            fail_fast(chunk_index, offset, items, "timeout")
             return
         status, value = guarded_call(run_worker, make_args(items))
         if status == "ok":
@@ -191,6 +206,7 @@ def _run_supervised(
     run_worker: Callable,
     make_args: Callable[[List[Any]], Tuple[Any, ...]],
     chunks: Sequence[List[Any]],
+    chunk_size: int,
     policy: SupervisorPolicy,
     *,
     processes: Processes,
@@ -201,9 +217,10 @@ def _run_supervised(
 
     Returns ``(successes, failed_items)`` where successes are
     ``(chunk_index, offset, outcome)`` triples covering every surviving
-    slice.  ``on_error="serial_retry"`` failures are re-run here, in
-    the parent; whatever still fails is quarantined (or raised, under
-    ``on_error="raise"``).
+    slice and each failed item carries its job's batch position
+    (``chunk_index * chunk_size + offset``).  ``on_error="serial_retry"``
+    failures are re-run here, in the parent; whatever still fails is
+    quarantined (or raised, under ``on_error="raise"``).
     """
     counters = pool.counters if pool is not None else _supervisor.new_counters()
     effective = pool.workers if pool is not None else worker_count(processes)
@@ -214,8 +231,12 @@ def _run_supervised(
     # hang or crash in a single-chunk batch must still be contained
     # (the verdict service counts on this for one-test requests).
     if effective <= 1 or (pool is None and len(chunks) <= 1):
+        abort = None
+        if pool is not None:
+            abort = pool._abort
+            abort.clear()
         successes, failures = _serial_supervised(
-            run_worker, make_args, chunks, counters, policy
+            run_worker, make_args, chunks, counters, policy, abort
         )
     elif pool is not None:
         successes, failures = pool.supervised().run_tasks(
@@ -233,13 +254,18 @@ def _run_supervised(
     failed_items: List[FailedItem] = []
     for failure in failures:
         attempts = failure.attempts
-        if policy.on_error == "serial_retry" and not policy.expired():
+        if (
+            policy.on_error == "serial_retry"
+            and failure.kind != "aborted"
+            and not policy.expired()
+        ):
             # Graceful degradation: one in-process attempt in the
             # parent.  Worker-only faults (a chunk that OOMs the worker,
             # an environment-dependent crash) heal here, preserving the
             # sharded==serial guarantee for the retried item too.  A
-            # blown batch deadline skips the retry — re-running poison
-            # items serially is exactly how a deadline gets pinned.
+            # blown batch deadline or an abort skips the retry —
+            # re-running poison items serially is exactly how a
+            # deadline (or a shutdown) gets pinned.
             _supervisor._bump(counters, "serial_retries")
             attempts += 1
             status, value = guarded_call(run_worker, make_args([failure.item]))
@@ -257,14 +283,21 @@ def _run_supervised(
                 error=failure.error,
                 traceback=failure.traceback,
                 attempts=attempts,
+                index=failure.chunk_index * chunk_size + failure.offset,
             )
         )
 
+    failed_items.sort(key=lambda failed: failed.index)
     if failed_items and policy.on_error == "raise":
         raise PoisonItemError(failed_items)
     if failed_items:
         _supervisor._bump(counters, "quarantined", len(failed_items))
     return successes, failed_items
+
+
+#: The policy of a batch whose caller and pool set none: supervised like
+#: any other, but a failing job surfaces as :class:`PoisonItemError`.
+_RAISE = SupervisorPolicy(on_error="raise")
 
 
 def run_sharded(
@@ -279,27 +312,27 @@ def run_sharded(
     policy: Optional[SupervisorPolicy] = None,
     errors: Optional[List[FailedItem]] = None,
 ) -> List[Any]:
-    """Run *worker* over *jobs* in chunks, results in submission order.
+    """Run *worker* over *jobs* in chunks: one slot per job, in order.
 
     ``worker(chunk, payload)`` must return a list with one result per
     job of the chunk — or, when ``merge`` is given, a ``(results,
     extra)`` pair; ``merge(extra)`` is then invoked in submission order
-    as chunks complete (the fence campaign merges worker-local memo
-    caches this way).  ``pool`` reuses an open :class:`CampaignPool`
-    instead of spinning a fresh one.
+    (the fence campaign merges worker-local memo caches this way).
+    ``pool`` reuses an open :class:`CampaignPool` instead of spinning
+    up ephemeral workers.
 
-    ``policy`` (or the pool's default policy) routes the batch through
-    the supervised layer: chunk deadlines, bounded retry, worker
-    respawn, and poison-item bisection.  Quarantined jobs are dropped
-    from the results — in submission order, so the surviving results
-    equal a clean serial run over the surviving jobs — and reported as
-    :class:`~repro.campaign.supervisor.FailedItem` records appended to
-    the caller's ``errors`` list.  Without a policy, failures propagate
-    exactly as the bare pool raised them.
+    Every batch is supervised under ``policy``, else the pool's policy,
+    else ``SupervisorPolicy(on_error="raise")``: chunk deadlines,
+    bounded retry, worker respawn and poison-item bisection apply on
+    every path, in-process ones included.  The result always has
+    exactly ``len(jobs)`` slots: slot *i* is job *i*'s value, or — for a
+    quarantined job — its :class:`~repro.campaign.supervisor.FailedItem`
+    (whose ``index`` is *i*).  The same records are appended to the
+    caller's ``errors`` list.  Under ``on_error="raise"`` a failing job
+    raises :class:`~repro.campaign.supervisor.PoisonItemError` instead.
 
-    A payload that fails to pickle no longer surfaces as a raw
-    ``PicklingError`` from inside the pool machinery: the batch falls
-    back to in-process serial execution with a
+    A payload that fails to pickle does not surface as a raw
+    ``PicklingError``: those chunks run in-process with a
     :class:`~repro.campaign.supervisor.CampaignPicklingWarning` naming
     the offending object.
 
@@ -315,8 +348,8 @@ def run_sharded(
     jobs = list(jobs)
     parent_registry = _telemetry._ACTIVE
     batch_t0 = time.perf_counter()
-    if policy is None and pool is not None:
-        policy = pool.policy
+    if policy is None:
+        policy = pool.policy if pool is not None and pool.policy is not None else _RAISE
     chunks = chunked(jobs, chunk_size)
 
     if parent_registry is not None:
@@ -332,53 +365,26 @@ def run_sharded(
         def make_args(items: List[Any]) -> Tuple[Any, ...]:
             return (items, payload)
 
-    if policy is not None:
-        effective_workers = pool.workers if pool is not None else worker_count(processes)
-        successes, failed_items = _run_supervised(
-            run_worker,
-            make_args,
-            chunks,
-            policy,
-            processes=processes,
-            pool=pool,
-            phase=getattr(worker, "__name__", str(worker)),
-        )
-        if errors is not None:
-            errors.extend(failed_items)
-        per_chunk: Dict[int, List[Tuple[int, Any]]] = {}
-        for chunk_index, offset, outcome in successes:
-            per_chunk.setdefault(chunk_index, []).append((offset, outcome))
-        outcomes = [
-            outcome
-            for chunk_index in range(len(chunks))
-            for _, outcome in sorted(per_chunk.get(chunk_index, ()))
-        ]
-    else:
-        shards = [make_args(chunk) for chunk in chunks]
-        if pool is not None:
-            effective_workers = pool.workers
-            outcomes = pool._starmap(run_worker, shards)
-        else:
-            effective_workers = worker_count(processes)
-            # A single shard has no parallelism to win: run it in-process
-            # rather than paying for a one-worker pool.
-            if effective_workers <= 1 or len(shards) <= 1:
-                outcomes = [run_worker(*shard) for shard in shards]
-            else:
-                try:
-                    with multiprocessing.Pool(
-                        min(effective_workers, len(shards))
-                    ) as mp_pool:
-                        outcomes = mp_pool.starmap(run_worker, shards, chunksize=1)
-                except Exception as exc:
-                    if not is_pickling_error(exc):
-                        raise
-                    warn_unpicklable(shards, exc)
-                    outcomes = [run_worker(*shard) for shard in shards]
+    successes, failed_items = _run_supervised(
+        run_worker,
+        make_args,
+        chunks,
+        chunk_size,
+        policy,
+        processes=processes,
+        pool=pool,
+        phase=getattr(worker, "__name__", str(worker)),
+    )
+    if errors is not None:
+        errors.extend(failed_items)
 
-    results: List[Any] = []
+    slots: List[Any] = [None] * len(jobs)
+    for failed in failed_items:
+        slots[failed.index] = failed
     busy_seconds = 0.0
-    for outcome in outcomes:
+    for chunk_index, offset, outcome in sorted(
+        successes, key=lambda success: success[:2]
+    ):
         if parent_registry is not None:
             outcome, snapshot = outcome
             busy_seconds += snapshot.histograms.get(
@@ -390,52 +396,49 @@ def run_sharded(
             merge(extra)
         else:
             chunk_results = outcome
-        results.extend(chunk_results)
+        start = chunk_index * chunk_size + offset
+        slots[start : start + len(chunk_results)] = chunk_results
     if parent_registry is not None:
         batch_seconds = time.perf_counter() - batch_t0
         parent_registry.count("campaign.batches")
         parent_registry.observe("campaign.batch_seconds", batch_seconds)
+        effective_workers = pool.workers if pool is not None else worker_count(processes)
         workers_used = max(1, min(effective_workers, len(chunks)))
         if batch_seconds > 0:
             parent_registry.set_gauge(
                 "campaign.worker_utilization",
                 min(1.0, busy_seconds / (batch_seconds * workers_used)),
             )
-    return results
+    return slots
 
 
-def _graceful_mp_close(mp_pool, grace: float) -> None:
-    """``close()`` + bounded ``join()``, falling back to ``terminate()``.
+def survivors(slots: Sequence[Any]) -> List[Any]:
+    """The values among *slots*, in order, quarantined jobs dropped.
 
-    ``multiprocessing.Pool.join`` has no timeout, so the join runs in a
-    daemon thread and the pool is terminated only if the workers have
-    not drained within *grace* seconds.
+    For drivers whose public result covers surviving jobs only (their
+    :class:`~repro.campaign.supervisor.FailedItem` records travel on a
+    separate ``errors`` field).
     """
-    mp_pool.close()
-    joiner = threading.Thread(target=mp_pool.join, daemon=True)
-    joiner.start()
-    joiner.join(max(grace, 0.0))
-    if joiner.is_alive():
-        mp_pool.terminate()
-        joiner.join(1.0)
+    return [slot for slot in slots if not isinstance(slot, FailedItem)]
 
 
 class CampaignPool:
-    """A reusable worker pool for multi-batch campaigns.
+    """A reusable supervised worker pool for multi-batch campaigns.
 
     The pool's processes survive between :meth:`run` calls, so the
     per-process warm state built by :mod:`repro.campaign.jobs` (resolved
     models, simulators, per-test simulation contexts) carries over from
     one batch to the next — exactly what escalation loops and repeated
     model comparisons want.  With an effective worker count of one the
-    pool degrades to the serial fallback and spawns nothing.
+    pool runs every batch in-process and spawns nothing.
 
     ``policy`` (a :class:`~repro.campaign.supervisor.SupervisorPolicy`)
-    makes every batch on this pool supervised: chunk deadlines, bounded
-    retry, automatic respawn of dead workers, poison-item quarantine.
-    ``counters`` accumulates the supervision events across batches (and
-    across worker respawns) — the ``supervisor`` subtree of
-    ``Session.stats()`` reads it.
+    is the default policy of every batch on this pool — chunk
+    deadlines, bounded retry, automatic respawn of dead workers,
+    poison-item quarantine; without one, batches run under
+    ``on_error="raise"``.  ``counters`` accumulates the supervision
+    events across batches (and across worker respawns) — the
+    ``supervisor`` subtree of ``Session.stats()`` reads it.
 
     Use as a context manager::
 
@@ -452,9 +455,9 @@ class CampaignPool:
         self.workers = worker_count(processes)
         self.policy = policy
         self.counters: Dict[str, float] = _supervisor.new_counters()
-        self._pool: Optional[multiprocessing.pool.Pool] = None
         self._supervised: Optional[SupervisedPool] = None
         self._close_lock = threading.Lock()
+        self._abort = threading.Event()
 
     def __enter__(self) -> "CampaignPool":
         return self
@@ -471,30 +474,30 @@ class CampaignPool:
         pool restarted by a later batch keeps accumulating into them.
 
         Idempotent and thread-safe: repeated or concurrent ``close``
-        calls — including after a worker has already died — tear each
-        pool down exactly once and simply return afterwards, so every
+        calls — including after a worker has already died — tear the
+        workers down exactly once and simply return afterwards, so every
         shutdown path (``__exit__``, a service drain, an ``atexit``
         hook) may call it without coordinating.
         """
         if grace is None:
             grace = self.policy.grace if self.policy is not None else DEFAULT_GRACE
         with self._close_lock:
-            mp_pool, self._pool = self._pool, None
             supervised, self._supervised = self._supervised, None
-        if mp_pool is not None:
-            _graceful_mp_close(mp_pool, grace)
         if supervised is not None:
             supervised.close(grace)
 
     def abort(self) -> None:
-        """Abort the supervised batch running on this pool, if any.
+        """Abort the batch running on this pool, if any.
 
         Thread-safe: meant to be called from a watchdog (the verdict
         service's drain-window expiry) while another thread is blocked
         inside :meth:`run` — that batch fails its unfinished items as
         ``aborted`` and returns promptly, after which :meth:`close` can
-        shut the workers down without waiting out a long chunk.
+        shut the workers down without waiting out a long chunk.  A
+        batch running in-process (a one-worker pool) stops at its next
+        slice boundary; the slice already running finishes first.
         """
+        self._abort.set()
         supervised = self._supervised
         if supervised is not None:
             supervised.abort()
@@ -509,27 +512,6 @@ class CampaignPool:
     def stats(self) -> Dict[str, float]:
         """A copy of the supervision counters (zeros when never used)."""
         return dict(self.counters)
-
-    def _starmap(
-        self, worker: Callable, shards: List[Tuple[Any, ...]]
-    ) -> List[Any]:
-        if self.workers <= 1 or len(shards) <= 1:
-            return [worker(*shard) for shard in shards]
-        if self._pool is None:
-            self._pool = multiprocessing.Pool(self.workers)
-        try:
-            return self._pool.starmap(worker, shards, chunksize=1)
-        except Exception as exc:
-            if not is_pickling_error(exc):
-                raise
-            # A half-submitted batch can leave the pool machinery in an
-            # undefined state: drop it (a later batch respawns lazily)
-            # and run this batch here, naming the unpicklable object.
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-            warn_unpicklable(shards, exc)
-            return [worker(*shard) for shard in shards]
 
     def run(
         self,

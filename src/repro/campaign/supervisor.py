@@ -1,14 +1,14 @@
 """Supervised campaign execution: deadlines, retries, quarantine, self-heal.
 
-The bare ``multiprocessing.Pool`` behind :mod:`repro.campaign.runner`
-has production-hostile failure modes: a worker killed by the OOM killer
-(or a segfault in a native extension) silently loses its in-flight task
-and the batch wedges forever; an exception whose instance cannot be
-pickled kills the pool's result machinery; a runaway job (an ILP
-branch-and-bound that never bounds) hangs the whole campaign.  Large
-hardware-testing campaigns are exactly where partial failure is routine,
-so this module puts a **supervisor** between the chunked batch and the
-OS processes:
+A plain process pool has production-hostile failure modes:
+a worker killed by the OOM killer (or a segfault in a native extension)
+silently loses its in-flight task and the batch wedges forever; an
+exception whose instance cannot be pickled kills the pool's result
+machinery; a runaway job (an ILP branch-and-bound that never bounds)
+hangs the whole campaign.  Large hardware-testing campaigns are exactly
+where partial failure is routine, so every batch of
+:mod:`repro.campaign.runner` runs through a **supervisor** between the
+chunked batch and the OS processes:
 
 * :class:`SupervisedPool` manages raw ``multiprocessing.Process``
   workers over duplex pipes.  The parent waits on connections *and*
@@ -115,8 +115,8 @@ class SupervisorPolicy:
     ``backoff_factor`` up to ``max_backoff``.  ``on_error`` decides the
     fate of a poison item once bisection has isolated it:
 
-    * ``"quarantine"`` — drop it from the results, record a
-      :class:`FailedItem`, complete the batch;
+    * ``"quarantine"`` — record a :class:`FailedItem` in its result
+      slot, complete the batch;
     * ``"serial_retry"`` — re-run the item in-process in the parent
       (graceful degradation: transient worker-side faults heal, and the
       surviving sharded==serial guarantee extends to the retried item);
@@ -239,8 +239,12 @@ class FailedItem(JsonReportMixin):
     ``kind`` how it failed (``exception`` / ``timeout`` /
     ``worker-death`` / ``unpicklable``), ``error`` the exception's
     ``repr`` (or the death/timeout description), ``traceback`` the
-    worker-side traceback text (empty for deaths and timeouts), and
-    ``attempts`` how many times the supervisor tried before giving up.
+    worker-side traceback text (empty for deaths and timeouts),
+    ``attempts`` how many times the supervisor tried before giving up,
+    and ``index`` the job's position in the batch it was submitted with
+    (the slot it occupies in :func:`~repro.campaign.runner.run_sharded`'s
+    result).  ``index`` stays out of :meth:`to_dict`: it only means
+    something relative to that one batch.
     """
 
     item: str
@@ -249,6 +253,7 @@ class FailedItem(JsonReportMixin):
     error: str
     traceback: str = ""
     attempts: int = 1
+    index: Optional[int] = None
 
     def describe(self) -> str:
         return (
@@ -436,7 +441,7 @@ def _worker_main(conn) -> None:
     """The supervised worker loop: recv task, run guarded, send outcome.
 
     Module-level warm state (:mod:`repro.campaign.jobs`) accumulates
-    across tasks exactly as under ``multiprocessing.Pool``.  A ``None``
+    across tasks, exactly as in any long-lived pool.  A ``None``
     task is the shutdown sentinel.  Results are pickled *before* any
     bytes hit the pipe (``Connection.send`` serializes first), so an
     unpicklable result never corrupts the stream — it is re-sent as an

@@ -30,7 +30,7 @@ smallest first.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from repro.compare.corpus import (
     CorpusBudget,
@@ -50,7 +50,10 @@ from repro.litmus.ast import LitmusTest
 
 __all__ = ["compare_models", "find_distinguishing_tests", "paired_verdicts"]
 
-PairedVerdicts = List[Tuple[str, Tuple[str, ...]]]
+#: One slot per test, in corpus order: ``(test name, verdict per
+#: model)``, or the :class:`~repro.campaign.FailedItem` that
+#: quarantined the test in a supervised sharded run.
+PairedVerdicts = List[Any]
 
 
 def model_label(model: ModelLike) -> str:
@@ -73,14 +76,15 @@ def paired_verdicts(
     policy=None,
     errors: Optional[List] = None,
 ) -> PairedVerdicts:
-    """``(test name, verdict per model)`` for every test, in order.
+    """``(test name, verdict per model)`` for every test: one slot each.
 
     Shards :class:`~repro.campaign.jobs.VerdictPairJob` chunks over the
     campaign runtime when every model is a *name* and a pool (or a
     worker count above one) is available; otherwise runs in-process,
-    still sharing one context per test across all models.  Quarantined
-    tests of a sharded run are dropped from the result and recorded on
-    ``errors``.
+    still sharing one context per test across all models.  A test
+    quarantined by a sharded run keeps its slot, holding its
+    :class:`~repro.campaign.FailedItem` (also recorded on ``errors``),
+    so slot *i* always belongs to ``tests[i]``.
     """
     from repro.campaign import runner as campaign_runner
 
@@ -125,17 +129,27 @@ def paired_verdicts(
     return results
 
 
+def _answered(
+    tests: Sequence[LitmusTest], pairs: PairedVerdicts
+) -> List[Tuple[LitmusTest, Tuple[str, ...]]]:
+    """Each test with its verdicts, paired by position; quarantined
+    tests dropped."""
+    from repro.campaign import FailedItem
+
+    return [
+        (test, slot[1])
+        for test, slot in zip(tests, pairs)
+        if not isinstance(slot, FailedItem)
+    ]
+
+
 def _build_rows(
-    pairs: PairedVerdicts, by_name: Dict[str, LitmusTest]
+    tests: Sequence[LitmusTest], pairs: PairedVerdicts
 ) -> List[Row]:
-    rows: List[Row] = []
-    for name, verdicts in pairs:
-        test = by_name[name]
-        verdict_a, verdict_b = verdicts[0], verdicts[1]
-        rows.append(
-            (name, verdict_a, verdict_b, event_count(test), test.num_threads())
-        )
-    return rows
+    return [
+        (test.name, verdicts[0], verdicts[1], event_count(test), test.num_threads())
+        for test, verdicts in _answered(tests, pairs)
+    ]
 
 
 def compare_models(
@@ -163,10 +177,8 @@ def compare_models(
     if tests is None and budget is None:
         budget = CorpusBudget()
     corpus = list(tests) if tests is not None else comparison_corpus(budget)
-    by_name = {test.name: test for test in corpus}
 
-    failed: List = [] if errors is None else errors
-    first_failure = len(failed)
+    failed: List = []
     pairs = paired_verdicts(
         corpus,
         (model_a, model_b),
@@ -178,7 +190,7 @@ def compare_models(
         policy=policy,
         errors=failed,
     )
-    rows = _build_rows(pairs, by_name)
+    rows = _build_rows(corpus, pairs)
 
     label_a, label_b = model_label(model_a), model_label(model_b)
     witness_a = minimal_witness(rows, label_a, label_b, "a")
@@ -187,17 +199,20 @@ def compare_models(
     # Minimality re-check: any budget-corpus member strictly smaller
     # than a candidate witness that the sweep did not cover gets its own
     # paired verdict (serially, contexts shared) before minimality is
-    # declared.  A no-op when the corpus came from the budget itself.
-    if budget is not None and (witness_a or witness_b):
+    # declared.  Unneeded when the corpus came from the budget itself.
+    if tests is not None and budget is not None and (witness_a or witness_b):
+        from repro.campaign.context import test_fingerprint
+
         bound = max(
             (witness.events, witness.threads, witness.name)
             for witness in (witness_a, witness_b)
             if witness is not None
         )
+        swept = {test_fingerprint(test) for test in corpus}
         missing = [
             test
             for test in smaller_members(budget, bound)
-            if test.name not in by_name
+            if test_fingerprint(test) not in swept
         ]
         if missing:
             extra = paired_verdicts(
@@ -206,12 +221,13 @@ def compare_models(
                 engine=engine,
                 context_cache=context_cache,
             )
-            by_name.update({test.name: test for test in missing})
-            rows.extend(_build_rows(extra, by_name))
+            rows.extend(_build_rows(missing, extra))
             rows.sort(key=lambda row: (row[3], row[4], row[0]))
             witness_a = minimal_witness(rows, label_a, label_b, "a")
             witness_b = minimal_witness(rows, label_a, label_b, "b")
 
+    if errors is not None:
+        errors.extend(failed)
     return ComparisonReport(
         model_a=label_a,
         model_b=label_b,
@@ -220,7 +236,7 @@ def compare_models(
         witness_a=witness_a,
         witness_b=witness_b,
         budget=budget.as_dict() if budget is not None else None,
-        errors=tuple(failed[first_failure:]),
+        errors=tuple(failed),
     )
 
 
@@ -248,7 +264,6 @@ def find_distinguishing_tests(
     if tests is None and budget is None:
         budget = CorpusBudget()
     corpus = list(tests) if tests is not None else comparison_corpus(budget)
-    by_name = {test.name: test for test in corpus}
 
     pairs = paired_verdicts(
         corpus,
@@ -263,8 +278,8 @@ def find_distinguishing_tests(
     )
     split = len(violates)
     matching = [
-        by_name[name]
-        for name, verdicts in pairs
+        test
+        for test, verdicts in _answered(corpus, pairs)
         if all(verdict == "Forbid" for verdict in verdicts[:split])
         and all(verdict == "Allow" for verdict in verdicts[split:])
     ]

@@ -229,8 +229,7 @@ def sweep_family(
     from repro.campaign import runner as campaign_runner
 
     tests = list(tests)
-    failed: List = [] if errors is None else errors
-    first_failure = len(failed)
+    failed: List = []
     sharded = (
         pool is not None or campaign_runner.worker_count(processes) > 1
     ) and isinstance(model, str)
@@ -238,22 +237,26 @@ def sweep_family(
         from repro.campaign.jobs import VerdictJob, verdict_chunk
         from repro.herd.simulator import resolve_model
 
-        verdicts = campaign_runner.run_sharded(
-            verdict_chunk,
-            [VerdictJob(test, model, engine) for test in tests],
-            processes=processes,
-            chunk_size=chunk_size,
-            pool=pool,
-            policy=policy,
-            errors=failed,
+        verdicts = campaign_runner.survivors(
+            campaign_runner.run_sharded(
+                verdict_chunk,
+                [VerdictJob(test, model, engine) for test in tests],
+                processes=processes,
+                chunk_size=chunk_size,
+                pool=pool,
+                policy=policy,
+                errors=failed,
+            )
         )
+        if errors is not None:
+            errors.extend(failed)
         # Canonical model name, exactly as the serial path reports it
         # (model names are matched case-insensitively).
         model_name = getattr(resolve_model(model), "name", str(model))
         return FamilySweep(
             model_name=model_name,
             verdicts=tuple(verdicts),
-            errors=tuple(failed[first_failure:]),
+            errors=tuple(failed),
         )
 
     from repro.herd.simulator import Simulator

@@ -164,6 +164,20 @@ def repair_one(
     return report
 
 
+def repair_dispatch(model: str, cache: CycleCache, strategy: str, context_cache=None):
+    """The ``(worker, payload, merge)`` of a sharded repair batch.
+
+    Pass them to :func:`~repro.campaign.runner.run_sharded`: every chunk
+    repairs against a snapshot of the memo ``cache`` and ``merge`` folds
+    what it learned back into ``cache`` in submission order.
+    ``context_cache`` is for batches that run in-process only; workers
+    use their own per-process caches.
+    """
+    from repro.campaign.jobs import repair_chunk
+
+    return repair_chunk, (model, dict(cache), strategy, context_cache), cache.update
+
+
 def repair_family(
     tests: Sequence[LitmusTest],
     model: ModelLike,
@@ -208,25 +222,25 @@ def repair_family(
     if cache is None:
         cache = {}
     model_name = model if isinstance(model, str) else getattr(model, "name", str(model))
-    failed: List = [] if errors is None else errors
-    first_failure = len(failed)
+    failed: List = []
 
     sharded = (
         pool is not None or campaign_runner.worker_count(processes) > 1
     ) and isinstance(model, str)
     if sharded:
-        from repro.campaign.jobs import repair_chunk
-
-        reports: List[RepairReport] = campaign_runner.run_sharded(
-            repair_chunk,
-            tests,
-            payload=(model, dict(cache), strategy),
-            processes=processes,
-            chunk_size=chunk_size,
-            merge=cache.update,
-            pool=pool,
-            policy=policy,
-            errors=failed,
+        worker, payload, merge = repair_dispatch(model, cache, strategy)
+        reports: List[RepairReport] = campaign_runner.survivors(
+            campaign_runner.run_sharded(
+                worker,
+                tests,
+                payload=payload,
+                processes=processes,
+                chunk_size=chunk_size,
+                merge=merge,
+                pool=pool,
+                policy=policy,
+                errors=failed,
+            )
         )
     else:
         resolved = resolve_model(model)
@@ -238,10 +252,12 @@ def repair_family(
             for test in tests
         ]
 
+    if errors is not None:
+        errors.extend(failed)
     cache_hits = sum(1 for report in reports if report.from_cache)
     return CampaignResult(
         model_name=str(model_name),
         reports=reports,
         cache_hits=cache_hits,
-        errors=tuple(failed[first_failure:]),
+        errors=tuple(failed),
     )

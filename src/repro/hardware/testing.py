@@ -326,14 +326,16 @@ def run_campaign(
             for test, test_seeds in zip(tests, seeds)
         ]
         report.results.extend(
-            campaign_runner.run_sharded(
-                hardware_chunk,
-                jobs,
-                processes=processes,
-                chunk_size=chunk_size,
-                pool=pool,
-                policy=policy,
-                errors=report.errors,
+            campaign_runner.survivors(
+                campaign_runner.run_sharded(
+                    hardware_chunk,
+                    jobs,
+                    processes=processes,
+                    chunk_size=chunk_size,
+                    pool=pool,
+                    policy=policy,
+                    errors=report.errors,
+                )
             )
         )
         if errors is not None:

@@ -113,14 +113,16 @@ def analyse_corpus(
         ]
         return {
             package: MoleReport(name=package, cycles=cycles)
-            for package, cycles in campaign_runner.run_sharded(
-                mole_chunk,
-                jobs,
-                processes=processes,
-                chunk_size=chunk_size,
-                pool=pool,
-                policy=policy,
-                errors=errors,
+            for package, cycles in campaign_runner.survivors(
+                campaign_runner.run_sharded(
+                    mole_chunk,
+                    jobs,
+                    processes=processes,
+                    chunk_size=chunk_size,
+                    pool=pool,
+                    policy=policy,
+                    errors=errors,
+                )
             )
         }
 

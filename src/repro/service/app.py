@@ -50,9 +50,10 @@ import contextlib
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro import telemetry as _telemetry
+from repro.campaign import DEFAULT_CHUNK_SIZE, CampaignPool, FailedItem, run_sharded
 from repro.litmus.ast import LitmusTest
 from repro.service.breaker import HALF_OPEN, CircuitBreaker
 from repro.service.config import ServiceConfig
@@ -80,6 +81,24 @@ _COUNTER_NAMES = (
     "http_errors",
     "drain_unanswered",
 )
+
+
+def _hang_up(writer) -> None:
+    """Close a client connection so the peer sees EOF at once.
+
+    Campaign workers are forked while connections are open, so each
+    holds a duplicate of every client socket the service had then.
+    ``close()`` alone only drops the service's descriptor: the
+    connection stays up in the workers, and a client that reuses it
+    waits out its whole read timeout.  ``write_eof()`` shuts the write
+    side of the socket itself (after the buffered response flushes),
+    which sends the FIN whoever else holds the descriptor.
+    """
+    with contextlib.suppress(Exception):
+        if writer.can_write_eof():
+            writer.write_eof()
+    with contextlib.suppress(Exception):
+        writer.close()
 
 
 class _Item:
@@ -161,13 +180,15 @@ class VerdictService:
         self._draining = False
         self._closed = False
         self._drain_started = False
-        self._stop_serial = False
         self._wake: Optional[asyncio.Event] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._batcher: Optional[asyncio.Task] = None
         self._executor = concurrent.futures.ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="verdict-service"
         )
+        # Degraded mode's in-process pool: it spawns nothing, but a
+        # drain can abort its batch between items.
+        self._serial_pool = CampaignPool(1)
         self._verdict_cache = None
         self._verdict_cache_stats = None
         if self.config.verdict_cache_size > 0:
@@ -240,18 +261,12 @@ class VerdictService:
 
         overdue = bool(self._queue or self._inflight)
         if overdue:
-            # The window is blown: abort the supervised batch (the
-            # executor thread unblocks with `aborted` failures) and stop
-            # the serial path between items.
-            self._stop_serial = True
-            pool = self.session._pool
-            if pool is not None:
-                pool.abort()
-            grace_until = time.monotonic() + 5.0
-            while (self._queue or self._inflight) and time.monotonic() < grace_until:
-                if self._wake is not None:
-                    self._wake.set()
-                await asyncio.sleep(0.02)
+            # The window is blown: nothing still queued will run, and
+            # the running batch is aborted (the executor thread unblocks
+            # with `aborted` failures, answered `unavailable`).  An
+            # in-process batch stops before its next item; the item
+            # already running ends within its own budget or the grace
+            # below, whichever comes first.
             unanswered = list(self._queue)
             self._queue.clear()
             if unanswered:
@@ -265,6 +280,13 @@ class VerdictService:
                         "error": "service drained before this test ran",
                     },
                 )
+            self._serial_pool.abort()
+            pool = self.session._pool
+            if pool is not None:
+                pool.abort()
+            grace_until = time.monotonic() + 5.0
+            while self._inflight and time.monotonic() < grace_until:
+                await asyncio.sleep(0.02)
 
         self._closed = True
         if self._server is not None:
@@ -274,8 +296,7 @@ class VerdictService:
         # busy ones are mid-response and close themselves (the handler
         # loop never keeps a connection once the drain has started).
         for writer in list(self._connections - self._busy_connections):
-            with contextlib.suppress(Exception):
-                writer.close()
+            _hang_up(writer)
         if self._server is not None:
             with contextlib.suppress(Exception):
                 await self._server.wait_closed()
@@ -492,7 +513,7 @@ class VerdictService:
             self._count("batched_items", len(group))
 
             pooled = probe = False
-            if self.session.workers > 1 and not self._stop_serial:
+            if self.session.workers > 1:
                 pooled = self.breaker.allow_pooled()
                 probe = pooled and self.breaker.state == HALF_OPEN
             if not pooled:
@@ -533,210 +554,85 @@ class VerdictService:
     # -- batch execution (single worker thread) -----------------------------------
 
     def _run_group(self, group: List[_Item], pooled: bool) -> List[Dict[str, Any]]:
-        if pooled:
-            return self._run_pooled(group)
-        return self._run_serial(group)
+        """Run one batch through the campaign runner: one outcome per item.
 
-    def _run_pooled(self, group: List[_Item]) -> List[Dict[str, Any]]:
+        Both modes take the same supervised path under the same
+        budgeted policy: ``pooled`` on the session's warm workers,
+        degraded (``"serial"``) in-process on the session's caches, one
+        item per slice so the batch deadline and a drain's abort are
+        checked between items.  The runner returns one
+        slot per job, so each item is paired with its own slot by
+        position: a value renders as ``ok``, a
+        :class:`~repro.campaign.FailedItem` as ``timeout`` (budget
+        expired), ``unavailable`` (cut off by a drain) or
+        ``quarantined`` (the test raised, crashed or hung).
+        """
+        from repro.campaign.jobs import (
+            VerdictJob,
+            VerdictPairJob,
+            verdict_chunk,
+            verdict_pair_chunk,
+        )
+
         session = self.session
         head = group[0]
         tests = [item.test for item in group]
         budget = min(item.deadline for item in group) - time.monotonic()
-        policy = session.policy.with_budget(budget)
-        errors: List[Any] = []
-
+        # In-process batches use the session's context cache (its size,
+        # TTL and stats); workers keep their own per-process caches.
+        contexts = None if pooled else session.context_cache
+        payload, merge = contexts, None
         if head.kind == "repair":
-            from repro.fences.campaign import repair_family
+            from repro.fences.campaign import repair_dispatch
 
-            result = repair_family(
-                tests,
+            jobs = tests
+            worker, payload, merge = repair_dispatch(
                 head.model,
-                pool=session.pool(),
-                cache=session.cycle_cache,
-                context_cache=session.context_cache,
-                strategy=head.strategy or session.strategy,
-                policy=policy,
-                errors=errors,
+                session.cycle_cache,
+                head.strategy or session.strategy,
+                contexts,
             )
-            survivors = list(result.reports)
-
-            def name_of(report) -> str:
-                return report.test_name
 
             def render(report) -> Dict[str, Any]:
-                return {
-                    "test": report.test_name,
-                    "status": "ok",
-                    "mode": "pooled",
-                    "report": report.to_dict(),
-                }
+                return {"report": report.to_dict()}
 
         elif head.kind == "compare":
-            from repro.campaign import runner as campaign_runner
-            from repro.campaign.jobs import VerdictPairJob, verdict_pair_chunk
-
-            survivors = list(
-                campaign_runner.run_sharded(
-                    verdict_pair_chunk,
-                    [
-                        VerdictPairJob(test, head.model, session.engine)
-                        for test in tests
-                    ],
-                    pool=session.pool(),
-                    policy=policy,
-                    errors=errors,
-                )
-            )
-
-            def name_of(pair) -> str:
-                return pair[0]
+            worker = verdict_pair_chunk
+            jobs = [VerdictPairJob(test, head.model, session.engine) for test in tests]
 
             def render(pair) -> Dict[str, Any]:
-                return {
-                    "test": pair[0],
-                    "status": "ok",
-                    "mode": "pooled",
-                    "verdicts": dict(zip(head.model, pair[1])),
-                }
+                return {"verdicts": dict(zip(head.model, pair[1]))}
 
         else:
-            # run_sharded directly (not sweep_family): the family helper
-            # shortcuts single-test batches to serial in-process, which
-            # would bypass chunk supervision — the pool must own every
-            # pooled item so deadlines and quarantine always apply.
-            from repro.campaign import runner as campaign_runner
-            from repro.campaign.jobs import VerdictJob, verdict_chunk
-
-            survivors = list(
-                campaign_runner.run_sharded(
-                    verdict_chunk,
-                    [
-                        VerdictJob(test, head.model, session.engine)
-                        for test in tests
-                    ],
-                    pool=session.pool(),
-                    policy=policy,
-                    errors=errors,
-                )
-            )
-
-            def name_of(pair) -> str:
-                return pair[0]
+            worker = verdict_chunk
+            jobs = [VerdictJob(test, head.model, session.engine) for test in tests]
 
             def render(pair) -> Dict[str, Any]:
-                return {
-                    "test": pair[0],
-                    "status": "ok",
-                    "mode": "pooled",
-                    "verdict": pair[1],
-                }
+                return {"verdict": pair[1]}
 
+        errors: List[FailedItem] = []
+        slots = run_sharded(
+            worker,
+            jobs,
+            payload=payload,
+            chunk_size=DEFAULT_CHUNK_SIZE if pooled else 1,
+            merge=merge,
+            pool=session.pool() if pooled else self._serial_pool,
+            policy=session.policy.with_budget(budget),
+            errors=errors,
+        )
         session.last_errors.extend(errors)
-        return self._align(group, survivors, name_of, render, errors)
-
-    @staticmethod
-    def _align(
-        group: List[_Item],
-        survivors: List[Any],
-        name_of: Callable[[Any], str],
-        render: Callable[[Any], Dict[str, Any]],
-        errors: List[Any],
-    ) -> List[Dict[str, Any]]:
-        """Zip survivors (submission order) and quarantines back onto
-        the group, one outcome per item."""
-        remaining = list(errors)
+        mode = "pooled" if pooled else "serial"
         outcomes: List[Dict[str, Any]] = []
-        index = 0
-        for item in group:
+        for item, slot in zip(group, slots):
             name = item.test.name
-            if index < len(survivors) and name_of(survivors[index]) == name:
-                outcomes.append(render(survivors[index]))
-                index += 1
-                continue
-            failed = next((f for f in remaining if f.item == name), None)
-            if failed is not None:
-                remaining.remove(failed)
+            if isinstance(slot, FailedItem):
                 status = {"timeout": "timeout", "aborted": "unavailable"}.get(
-                    failed.kind, "quarantined"
+                    slot.kind, "quarantined"
                 )
-                outcomes.append(
-                    {"test": name, "status": status, "error": failed.to_dict()}
-                )
-            else:  # pragma: no cover — the campaign always accounts for items
-                outcomes.append(
-                    {
-                        "test": name,
-                        "status": "error",
-                        "error": "no result or quarantine record for this test",
-                    }
-                )
-        return outcomes
-
-    def _run_serial(self, group: List[_Item]) -> List[Dict[str, Any]]:
-        """Degraded mode: in-process, one item at a time, no workers to
-        lose.  Deadlines are enforced between items — a running item
-        cannot be interrupted in-process."""
-        outcomes: List[Dict[str, Any]] = []
-        for item in group:
-            name = item.test.name
-            if self._stop_serial:
-                outcomes.append(
-                    {
-                        "test": name,
-                        "status": "unavailable",
-                        "error": "service is shutting down",
-                    }
-                )
-                continue
-            if time.monotonic() >= item.deadline:
-                outcomes.append(
-                    {
-                        "test": name,
-                        "status": "timeout",
-                        "error": "deadline expired before execution",
-                    }
-                )
-                continue
-            try:
-                if item.kind == "repair":
-                    report = self.session.repair(
-                        item.test, model=item.model, strategy=item.strategy
-                    )
-                    outcomes.append(
-                        {
-                            "test": name,
-                            "status": "ok",
-                            "mode": "serial",
-                            "report": report.to_dict(),
-                        }
-                    )
-                elif item.kind == "compare":
-                    verdicts = {
-                        model: self.session.verdict(item.test, model=model)
-                        for model in item.model
-                    }
-                    outcomes.append(
-                        {
-                            "test": name,
-                            "status": "ok",
-                            "mode": "serial",
-                            "verdicts": verdicts,
-                        }
-                    )
-                else:
-                    verdict = self.session.verdict(item.test, model=item.model)
-                    outcomes.append(
-                        {
-                            "test": name,
-                            "status": "ok",
-                            "mode": "serial",
-                            "verdict": verdict,
-                        }
-                    )
-            except Exception as exc:  # noqa: BLE001 — degraded mode must answer
-                outcomes.append(
-                    {"test": name, "status": "error", "error": repr(exc)}
-                )
+                outcomes.append({"test": name, "status": status, "error": slot.to_dict()})
+            else:
+                outcomes.append({"test": name, "status": "ok", "mode": mode, **render(slot)})
         return outcomes
 
     # -- HTTP ---------------------------------------------------------------------
@@ -818,8 +714,8 @@ class VerdictService:
         finally:
             self._connections.discard(writer)
             self._busy_connections.discard(writer)
+            _hang_up(writer)
             with contextlib.suppress(Exception):
-                writer.close()
                 await writer.wait_closed()
 
     async def _route(

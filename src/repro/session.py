@@ -64,6 +64,7 @@ from repro.campaign import (
     worker_count,
 )
 from repro.campaign import supervisor as _supervisor
+from repro.campaign.runner import survivors
 from repro.util.caches import BoundedTTLCache
 from repro.telemetry import CacheStats, Metrics
 from repro.herd.simulator import (
@@ -444,7 +445,9 @@ class Session:
 
             effective = self.engine if engine is None else engine
             jobs = [SimulateJob(test, spec, effective, until) for test in batch]
-            return self.pool().run(simulate_chunk, jobs, errors=self._fresh_errors())
+            return survivors(
+                self.pool().run(simulate_chunk, jobs, errors=self._fresh_errors())
+            )
         simulator = self.simulator(model, engine)
         return [
             simulator.run(
@@ -479,14 +482,21 @@ class Session:
         """Allow/Forbid of the target outcome (the early-exit fast path).
 
         A single test returns one verdict string; an iterable returns
-        the verdicts in order (dispatched through :meth:`sweep`, i.e.
-        the campaign runtime on the warm pool).
+        one entry per test, in order (dispatched through :meth:`sweep`,
+        i.e. the campaign runtime on the warm pool) — a quarantined
+        test's entry is its :class:`~repro.campaign.FailedItem`.
         """
         if isinstance(tests, LitmusTest):
             simulator = self.simulator(model, engine)
             return simulator.verdict(tests, context=self.context_cache.get(tests))
-        swept = self.sweep(tests, model=model, engine=engine)
-        return [test_verdict for _, test_verdict in swept.verdicts]
+        batch = list(tests)
+        swept = self.sweep(batch, model=model, engine=engine)
+        answered = iter(swept.verdicts)
+        failed = {failure.index: failure for failure in swept.errors}
+        return [
+            failed[index] if index in failed else next(answered)[1]
+            for index in range(len(batch))
+        ]
 
     def sweep(
         self,
@@ -707,8 +717,10 @@ class Session:
             ]
             return [
                 MoleReport(name=name, cycles=cycles)
-                for name, cycles in pool.run(
-                    mole_chunk, jobs, chunk_size=2, errors=self._fresh_errors()
+                for name, cycles in survivors(
+                    pool.run(
+                        mole_chunk, jobs, chunk_size=2, errors=self._fresh_errors()
+                    )
                 )
             ]
         from repro.mole.report import analyse_program

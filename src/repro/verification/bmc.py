@@ -362,14 +362,16 @@ def verify_batch(
     if sharded and len(items) > 1:
         from repro.campaign.jobs import BmcJob, bmc_chunk
 
-        return campaign_runner.run_sharded(
-            bmc_chunk,
-            [BmcJob(item, model, backend) for item in items],
-            processes=processes,
-            chunk_size=chunk_size,
-            pool=pool,
-            policy=policy,
-            errors=errors,
+        return campaign_runner.survivors(
+            campaign_runner.run_sharded(
+                bmc_chunk,
+                [BmcJob(item, model, backend) for item in items],
+                processes=processes,
+                chunk_size=chunk_size,
+                pool=pool,
+                policy=policy,
+                errors=errors,
+            )
         )
 
     checker = BoundedModelChecker(model, backend)

@@ -13,6 +13,7 @@ Differential guarantees, in the spirit of ``tests/test_differential.py``:
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.campaign import (
     CampaignPool,
@@ -90,6 +91,60 @@ def test_run_sharded_merge_collects_chunk_extras_in_order():
     )
     assert results == [item + 100 for item in jobs]
     assert extras == [0 + 1 + 2, 3 + 4 + 5, 6 + 7 + 8, 9]
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    data=st.data(),
+    size=st.integers(min_value=1, max_value=12),
+    chunk_size=st.integers(min_value=1, max_value=5),
+    processes=st.sampled_from([1, 2]),
+    kind=st.sampled_from(["raise", "raise_unpicklable", "crash"]),
+)
+def test_run_sharded_slots_match_jobs_under_random_faults(
+    data, size, chunk_size, processes, kind
+):
+    from repro.campaign import FailedItem, SupervisorPolicy
+    from repro.campaign.faults import FaultSpec, echo_chunk
+
+    jobs = list(range(100, 100 + size))
+    target = data.draw(st.sampled_from(jobs))
+    # In-process, only exceptions can be contained: a crash there would
+    # take the test runner with it, so crashes stay worker-only (and
+    # then do not fire on the in-process path at all).
+    spec = FaultSpec(kind, repr(target), only_in_worker=kind == "crash")
+    errors: list = []
+    slots = run_sharded(
+        echo_chunk,
+        jobs,
+        payload=spec,
+        processes=processes,
+        chunk_size=chunk_size,
+        policy=SupervisorPolicy(max_retries=1, backoff=0.01, max_backoff=0.05),
+        errors=errors,
+    )
+    assert len(slots) == len(jobs)
+    for index, (job, slot) in enumerate(zip(jobs, slots)):
+        if isinstance(slot, FailedItem):
+            assert job == target
+            assert slot.index == index and slot.item == repr(job)
+        else:
+            assert slot == job * 2
+    assert errors == [slot for slot in slots if isinstance(slot, FailedItem)]
+    if kind != "crash":
+        assert [failed.item for failed in errors] == [repr(target)]
+
+
+def test_policy_less_batches_raise_poison_item_error():
+    from repro.campaign import PoisonItemError
+    from repro.campaign.faults import FaultSpec, echo_chunk
+
+    spec = FaultSpec("raise", repr(5), only_in_worker=False)
+    for processes in (None, 2):
+        with pytest.raises(PoisonItemError) as caught:
+            run_sharded(echo_chunk, list(range(12)), payload=spec, processes=processes, chunk_size=4)
+        assert [failed.item for failed in caught.value.failures] == [repr(5)]
+        assert caught.value.failures[0].index == 5
 
 
 def test_campaign_pool_reuses_workers_across_batches():

@@ -46,6 +46,19 @@ def no_leftover_fault_plan():
     faults.uninstall()
 
 
+def assert_slots(results, errors, *poison):
+    """One slot per job: the doubled value, or — at each poison job's
+    own position — the very FailedItem recorded on *errors*."""
+    assert len(results) == len(JOBS)
+    for index, slot in enumerate(results):
+        if index in poison:
+            assert isinstance(slot, FailedItem) and slot.index == index
+            assert any(slot is failure for failure in errors)
+        else:
+            assert slot == SERIAL[index]
+    assert sorted(failure.index for failure in errors) == sorted(poison)
+
+
 def quarantine_run(spec, *, jobs=JOBS, chunk_size=4, **policy_kwargs):
     """Run echo_chunk over *jobs* with *spec* riding the payload."""
     errors: list = []
@@ -159,7 +172,7 @@ def test_worker_crash_quarantines_exactly_the_poison_item():
             errors=errors,
         )
         counters = pool.stats()
-    assert results == [item * 2 for item in JOBS if item != 7]
+    assert_slots(results, errors, 7)
     assert [failure.item for failure in errors] == [repr(7)]
     assert errors[0].kind == "worker-death"
     assert errors[0].attempts == 2  # max_retries=1 -> two attempts
@@ -175,21 +188,21 @@ def test_hung_chunk_is_killed_at_the_deadline():
         chunk_timeout=0.4,
         max_retries=0,
     )
-    assert results == [item * 2 for item in JOBS if item != 11]
+    assert_slots(results, errors, 11)
     assert [failure.item for failure in errors] == [repr(11)]
     assert errors[0].kind == "timeout"
 
 
 def test_unpicklable_worker_exception_is_contained():
     results, errors = quarantine_run(FaultSpec("raise_unpicklable", repr(3)))
-    assert results == [item * 2 for item in JOBS if item != 3]
+    assert_slots(results, errors, 3)
     assert [failure.item for failure in errors] == [repr(3)]
     assert "unpicklable fault injected" in errors[0].error
 
 
 def test_plain_worker_exception_keeps_its_traceback():
     results, errors = quarantine_run(FaultSpec("raise", repr(5)))
-    assert results == [item * 2 for item in JOBS if item != 5]
+    assert_slots(results, errors, 5)
     assert errors[0].kind == "exception"
     assert "FaultInjected" in errors[0].traceback
 
@@ -239,8 +252,9 @@ def test_two_poison_items_both_bisected_out():
         policy=SupervisorPolicy(**FAST),
         errors=errors,
     )
-    assert results == [item * 2 for item in JOBS if item not in (2, 13)]
-    assert sorted(failure.item for failure in errors) == [repr(13), repr(2)]
+    assert_slots(results, errors, 2, 13)
+    # Errors come back in submission order, like the slots.
+    assert [failure.item for failure in errors] == [repr(2), repr(13)]
 
 
 def test_serial_fallback_applies_the_same_policy():
@@ -258,7 +272,7 @@ def test_serial_fallback_applies_the_same_policy():
         policy=SupervisorPolicy(**FAST),
         errors=errors,
     )
-    assert results == [item * 2 for item in JOBS if item != 5]
+    assert_slots(results, errors, 5)
     assert [failure.item for failure in errors] == [repr(5)]
 
 
@@ -276,7 +290,7 @@ def test_pool_self_heals_across_batches():
             errors=errors,
         )
         assert len(errors) == 1
-        assert first == [item * 2 for item in JOBS if item != 4]
+        assert_slots(first, errors, 4)
         # The crashed workers were respawned: a clean follow-up batch
         # on the same pool is complete.
         second = pool.run(echo_chunk, JOBS, chunk_size=4)
@@ -319,7 +333,9 @@ def test_close_leaves_no_worker_processes_behind():
 # -- unpicklable payloads fall back to serial ------------------------------------
 
 
-def test_unpicklable_payload_falls_back_serially_legacy_path():
+def test_unpicklable_payload_falls_back_serially_without_a_policy():
+    # No policy anywhere: the batch still runs supervised (under
+    # on_error="raise"), which runs unpicklable chunks in-process.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         results = run_sharded(
@@ -383,6 +399,59 @@ def test_session_sweep_quarantines_a_crashed_test(family, serial_sweep):
         assert supervisor["last_errors"] == 1
         assert supervisor["policy"]["on_error"] == "quarantine"
     faults.uninstall()
+
+
+def test_session_verdict_batch_keeps_each_test_in_its_position(family, serial_sweep):
+    victim = 3
+    faults.install(FaultSpec("raise", family[victim].name))
+    with Session(model="power", processes=2, max_retries=0, retry_backoff=0.01) as session:
+        verdicts = session.verdict(family)
+    faults.uninstall()
+    assert len(verdicts) == len(family)
+    assert isinstance(verdicts[victim], FailedItem)
+    assert verdicts[victim].index == victim
+    expected = [verdict for _, verdict in serial_sweep.verdicts]
+    assert verdicts[:victim] + verdicts[victim + 1 :] == (
+        expected[:victim] + expected[victim + 1 :]
+    )
+
+
+#: A test the thread semantics refuse to run (a backward branch): a
+#: poison item in every process, the parent included.
+BACKWARD_BRANCH = """
+PPC loop
+{ 0:r2=x; }
+ P0           ;
+ L0:          ;
+ lwz r1,0(r2) ;
+ cmpwi r1,0   ;
+ beq L0       ;
+exists (0:r1=0)
+"""
+
+
+def test_session_verdict_positions_survive_a_full_error_ring(family, serial_sweep):
+    # More quarantines than last_errors holds: the ring keeps only the
+    # newest record, yet every test keeps its own entry.
+    from repro.litmus.parser import parse_litmus
+
+    poison = parse_litmus(BACKWARD_BRANCH)
+    batch = list(family)
+    for position in (2, 7, 9):
+        batch.insert(position, poison)
+    with Session(model="power", processes=2, error_ring=1, max_retries=0) as session:
+        verdicts = session.verdict(batch)
+        assert len(session.last_errors) == 1
+        swept = session.sweep(batch)
+    expected = iter(verdict for _, verdict in serial_sweep.verdicts)
+    assert len(verdicts) == len(batch)
+    for index, (test, verdict) in enumerate(zip(batch, verdicts)):
+        if test is poison:
+            assert isinstance(verdict, FailedItem) and verdict.index == index
+        else:
+            assert verdict == next(expected)
+    # The sweep's own record is complete, whatever the ring dropped.
+    assert [failure.index for failure in swept.errors] == [2, 7, 9]
 
 
 def test_session_serial_retry_heals_and_counts(family, serial_sweep):
@@ -472,8 +541,8 @@ def test_exhausted_budget_fails_serial_batch_before_dispatch():
     results = run_sharded(
         echo_chunk, JOBS, processes=1, chunk_size=4, policy=policy, errors=errors
     )
-    assert results == []
-    assert len(errors) == len(JOBS)
+    assert results == errors
+    assert [failure.index for failure in errors] == list(range(len(JOBS)))
     assert {failure.kind for failure in errors} == {"timeout"}
     assert all("deadline exhausted" in failure.error for failure in errors)
 
@@ -488,7 +557,7 @@ def test_exhausted_budget_fails_pooled_batch_before_dispatch():
         results = run_sharded(
             echo_chunk, JOBS, chunk_size=4, pool=pool, policy=policy, errors=errors
         )
-        assert results == []
+        assert results == errors
         assert len(errors) == len(JOBS)
         assert {failure.kind for failure in errors} == {"timeout"}
         assert pool.counters["deadline_exhausted"] == len(JOBS)
@@ -527,9 +596,16 @@ def test_abort_fails_a_hung_batch_and_returns():
         assert aborted, "the hung chunk's items must be failed as aborted"
         assert repr(5) in {failure.item for failure in aborted}
         assert pool.counters["aborted"] >= len(aborted)
-        # Every item is accounted for: a doubled result or a failure.
-        answered = len(outcome["results"]) + len(errors)
-        assert answered == len(JOBS)
+        # Every item is accounted for, in its own slot: a doubled
+        # result or its failure.
+        results = outcome["results"]
+        assert len(results) == len(JOBS)
+        for index, slot in enumerate(results):
+            if isinstance(slot, FailedItem):
+                assert slot.index == index and slot in errors
+            else:
+                assert slot == SERIAL[index]
+        assert sum(isinstance(slot, FailedItem) for slot in results) == len(errors)
 
 
 def test_pool_close_is_idempotent_with_a_dead_worker():
@@ -542,7 +618,7 @@ def test_pool_close_is_idempotent_with_a_dead_worker():
     supervised._members[0].process.join(5.0)
     pool.close(grace=0.5)
     pool.close(grace=0.5)  # double close: a no-op, not an error
-    assert pool._supervised is None and pool._pool is None
+    assert pool._supervised is None
 
 
 def test_pool_concurrent_close_tears_down_exactly_once():
@@ -558,7 +634,7 @@ def test_pool_concurrent_close_tears_down_exactly_once():
         thread.start()
     for thread in threads:
         thread.join(timeout=10.0)
-    assert pool._supervised is None and pool._pool is None
+    assert pool._supervised is None
 
 
 def test_error_ring_bounds_records_and_counts_drops():

@@ -140,6 +140,27 @@ def test_sharded_paired_verdicts_match_serial():
     assert sharded == serial
 
 
+@pytest.mark.parametrize("processes", [None, 2])
+def test_rows_keep_their_own_test_when_names_collide(processes):
+    import dataclasses
+
+    small = dataclasses.replace(get_test("sb"), name="dup")
+    large = dataclasses.replace(get_test("iriw"), name="dup")
+    report = compare_models(
+        "tso", "power", tests=[small, large], processes=processes, chunk_size=1
+    )
+    assert [(row[0], row[3], row[4]) for row in report.rows] == [
+        ("dup", event_count(small), small.num_threads()),
+        ("dup", event_count(large), large.num_threads()),
+    ]
+    assert event_count(small) != event_count(large)
+    assert [row[1:3] for row in report.rows] == [("Allow", "Allow"), ("Forbid", "Allow")]
+    (found,) = find_distinguishing_tests(
+        violates="tso", satisfies="power", tests=[small, large], processes=processes
+    )
+    assert found is large
+
+
 def test_session_compare_shards_over_the_warm_pool():
     with Session(model="power", processes=2) as session:
         report = session.compare("tso", "power", budget=SMALL)

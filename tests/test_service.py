@@ -18,6 +18,7 @@ import threading
 import time
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.campaign import faults
 from repro.campaign.faults import FaultSpec
@@ -178,6 +179,21 @@ def test_keepalive_idle_timeout_closes_and_the_client_reconnects():
         assert client.stats()["service"]["counters"]["connections"] == 2
 
 
+def test_keepalive_idle_close_after_a_pooled_post_is_seen_at_once():
+    # Campaign workers forked during the first POST inherit the client
+    # socket; the idle close must still reach the client as EOF, or its
+    # next request waits out the whole client timeout before retrying.
+    config = ServiceConfig(port=0, keepalive_idle_timeout=0.5)
+    with make_service(config=config) as handle:
+        client = ServiceClient(*handle.address, timeout=10.0)
+        assert client.verdict(["sb"], deadline=60.0).results[0]["mode"] == "pooled"
+        time.sleep(1.0)  # the server idles the connection out
+        started = time.monotonic()
+        assert client.healthz()["status"] == "ok"
+        assert client.verdict(["mp"], deadline=60.0).ok
+        assert time.monotonic() - started < 2.0
+
+
 def test_connection_close_header_is_honored():
     import http.client as http_client
 
@@ -195,6 +211,149 @@ def test_connection_close_header_is_honored():
         client = ServiceClient(host, port)
         response = client._request("GET", "/healthz")
         assert response.headers["connection"] == "keep-alive"
+
+
+# -- positional identity: duplicate names, poison items ---------------------------
+
+#: Three different tests that share the name ``dup``, plus a poison one:
+#: a backward branch, which the thread semantics refuse to unroll.
+DUP_MP = """
+Power dup
+{
+0:r2=x; 0:r4=y;
+1:r2=y; 1:r4=x;
+x=0; y=0;
+}
+ P0           | P1            ;
+ li r1,1      | lwz r1,0(r2)  ;
+ stw r1,0(r2) | lwz r5,0(r4)  ;
+ li r3,1      |               ;
+ stw r3,0(r4) |               ;
+exists (1:r1=1 /\\ 1:r5=0)
+"""
+DUP_MP_LWSYNC = """
+Power dup
+{
+0:r2=x; 0:r4=y;
+1:r2=y; 1:r4=x;
+x=0; y=0;
+}
+ P0           | P1            ;
+ li r1,1      | lwz r1,0(r2)  ;
+ stw r1,0(r2) | xor r3,r1,r1  ;
+ lwsync       | lwzx r5,r3,r4 ;
+ li r3,1      |               ;
+ stw r3,0(r4) |               ;
+exists (1:r1=1 /\\ 1:r5=0)
+"""
+DUP_SB = SB_X86.replace("X86 sb", "X86 dup")
+DUP_POISON = """
+PPC dup
+{ 0:r2=x; }
+ P0           ;
+ L0:          ;
+ lwz r1,0(r2) ;
+ cmpwi r1,0   ;
+ beq L0       ;
+exists (0:r1=0)
+"""
+
+
+def _degrade(handle):
+    """Trip the breaker for good: every batch runs in-process."""
+    breaker = handle.service.breaker
+    breaker.record_incidents(breaker.threshold)
+    assert breaker.state == OPEN
+
+
+@pytest.mark.parametrize("mode", ["pooled", "serial"])
+def test_duplicate_names_keep_their_own_outcomes(mode):
+    from repro.litmus.parser import parse_litmus
+
+    config = ServiceConfig(port=0, breaker_probe_interval=3600.0)
+    with make_service(config=config) as handle:
+        if mode == "serial":
+            _degrade(handle)
+        client = ServiceClient(*handle.address)
+        response = client.verdict(
+            [{"source": DUP_POISON}, {"source": DUP_SB}], model="tso", deadline=60.0
+        )
+        assert response.ok
+        poison, good = response.results
+        assert (poison["test"], poison["status"]) == ("dup", "quarantined")
+        assert "verdict" not in poison
+        assert "backward branches" in poison["error"]["error"]
+        assert (good["test"], good["status"], good["verdict"]) == ("dup", "ok", "Allow")
+        assert good["mode"] == mode
+        # Nothing was memoized under the poison test's fingerprint: a
+        # later request runs it again (and fails again), while the good
+        # test is answered from the memo.
+        service = handle.service
+        assert service._verdict_cache.get(
+            service._memo_key(parse_litmus(DUP_POISON), "tso")
+        ) is None
+        again = client.verdict(
+            [{"source": DUP_POISON}, {"source": DUP_SB}], model="tso", deadline=60.0
+        )
+        assert [line["status"] for line in again.results] == ["quarantined", "ok"]
+        assert again.results[1]["mode"] == "cache"
+
+
+_DUP_SPECS = [
+    "sb",
+    "mp",
+    "lb",
+    "wrc",
+    "iriw",
+    "sb+syncs",
+    {"source": DUP_MP},
+    {"source": DUP_MP_LWSYNC},
+    {"source": DUP_SB},
+    {"source": DUP_POISON},
+]
+
+
+@pytest.fixture(scope="module")
+def dup_service():
+    handle = make_service().start()
+    yield handle
+    handle.request_drain()
+    handle.join()
+
+
+@pytest.fixture(scope="module")
+def reference_session():
+    with Session(model="power") as session:
+        yield session
+
+
+@settings(
+    max_examples=20,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    batch=st.lists(st.sampled_from(_DUP_SPECS), min_size=1, max_size=6),
+    model=st.sampled_from(["power", "tso"]),
+)
+@example(batch=[{"source": DUP_POISON}, {"source": DUP_SB}], model="tso")
+@example(batch=[{"source": DUP_MP}, {"source": DUP_POISON}, "mp"], model="power")
+def test_service_line_i_is_session_verdict_of_test_i(
+    dup_service, reference_session, batch, model
+):
+    resolve = VerdictService._resolve_test
+    client = ServiceClient(*dup_service.address)
+    response = client.verdict(batch, model=model, deadline=60.0)
+    assert response.ok
+    assert len(response.results) == len(batch)
+    for spec, line in zip(batch, response.results):
+        test = resolve(spec)
+        assert line["test"] == test.name
+        if spec == {"source": DUP_POISON}:
+            assert line["status"] == "quarantined"
+        else:
+            assert line["status"] == "ok", line
+            assert line["verdict"] == reference_session.verdict(test, model=model)
 
 
 # -- admission fairness ----------------------------------------------------------
@@ -521,6 +680,56 @@ def test_drain_window_expiry_aborts_an_overdue_chunk():
     assert line["status"] in ("unavailable", "timeout", "quarantined")
     assert service.counters["drain_seconds"] >= 0.5
     assert service.session._pool is None
+
+
+def test_drain_window_expiry_stops_a_degraded_batch_between_items():
+    # In-process, every "sb" takes a second; the drain may let the
+    # running one finish, but no later item of the batch may start.
+    faults.install(FaultSpec("hang", "sb", only_in_worker=False, hang_seconds=1.0))
+    config = ServiceConfig(
+        port=0, drain_window=0.5, batch_window=0.0, breaker_probe_interval=3600.0
+    )
+    handle = make_service(config=config).start()
+    service = handle.service
+    _degrade(handle)
+    client = ServiceClient(*handle.address)
+    answered: list = []
+    thread = threading.Thread(
+        target=lambda: answered.append(client.verdict(["sb"] * 6, deadline=120.0))
+    )
+    thread.start()
+    deadline = time.monotonic() + 5.0
+    while service._inflight == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+    started = time.monotonic()
+    handle.request_drain()
+    thread.join(timeout=30.0)
+    handle.join(30.0)
+    elapsed = time.monotonic() - started
+    assert elapsed < 3.5, f"drain waited for the whole degraded batch ({elapsed:.1f}s)"
+    assert answered and answered[0].ok
+    statuses = [line["status"] for line in answered[0].results]
+    assert statuses[0] == "ok" and answered[0].results[0]["mode"] == "serial"
+    assert "unavailable" in statuses
+    assert set(statuses) <= {"ok", "unavailable"}
+    assert statuses.index("unavailable") <= 2
+    assert all(status == "unavailable" for status in statuses[statuses.index("unavailable"):])
+
+
+def test_degraded_batches_use_the_session_context_cache():
+    config = ServiceConfig(port=0, breaker_probe_interval=3600.0, verdict_cache_size=0)
+    with make_service(config=config) as handle:
+        _degrade(handle)
+        contexts = handle.service.session.context_cache
+        client = ServiceClient(*handle.address)
+        assert client.verdict(["sb", "mp"], deadline=60.0).ok
+        assert client.verdict(["sb", "mp"], model="tso", deadline=60.0).ok
+        assert (contexts.misses, contexts.hits) == (2, 2)
+        assert client.repair(["sb"], deadline=60.0).ok
+        assert contexts.hits > 2
+        stats = client.stats()["session"]["context_cache"]
+        assert stats["hits"] == contexts.hits
 
 
 # -- chaos: concurrent load, a killed worker, a poison test ----------------------
